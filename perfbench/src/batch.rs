@@ -92,7 +92,9 @@ pub fn run(
             let (done, out) = pass(launcher, bin, corpus, work, threads)?;
             if !done.success || out != reference {
                 failed += 1;
-                failures.push(format!("--threads {threads} pass output differs from the first pass"));
+                failures.push(format!(
+                    "--threads {threads} pass output differs from the first pass"
+                ));
             }
             if threads == 1 {
                 rss_t1.push(done.peak_rss_mb);

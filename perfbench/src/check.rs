@@ -199,7 +199,10 @@ pub fn fleet_tallies(daemon_report: &str, batch_report: &str, batch_wide: &str) 
     let d_out = df.get("outcomes").unwrap_or(&zero);
     for (o, n) in &outcomes {
         if num(d_out, o) != Some(*n) {
-            fails.push(format!("fleet.outcomes.{o}: daemon {:?}, batch {n}", num(d_out, o)));
+            fails.push(format!(
+                "fleet.outcomes.{o}: daemon {:?}, batch {n}",
+                num(d_out, o)
+            ));
         }
     }
     // Component sketches: exact counts and extremes must agree.
@@ -213,7 +216,9 @@ pub fn fleet_tallies(daemon_report: &str, batch_report: &str, batch_wide: &str) 
                 let bv = num(bs, k);
                 let dv = dc.get(name).and_then(|s| num(s, k));
                 if bv != dv {
-                    fails.push(format!("app_components_ms.{name}.{k}: daemon {dv:?}, batch {bv:?}"));
+                    fails.push(format!(
+                        "app_components_ms.{name}.{k}: daemon {dv:?}, batch {bv:?}"
+                    ));
                 }
             }
         }
@@ -246,8 +251,10 @@ mod tests {
         };
         let batch = format!("{}\n{}\n{}\n", line("a", 9), line("b", 9), line("c", 9));
         let daemon = format!("{}\n{}\n{}\n", line("a", 5), line("b", 6), line("b", 6));
-        let due: BTreeMap<String, u64> =
-            [("a", 5), ("b", 6), ("c", 7)].iter().map(|(a, d)| (a.to_string(), *d)).collect();
+        let due: BTreeMap<String, u64> = [("a", 5), ("b", 6), ("c", 7)]
+            .iter()
+            .map(|(a, d)| (a.to_string(), *d))
+            .collect();
         let fails = daemon_apps(&daemon, &batch, &due);
         assert_eq!(fails.len(), 2, "{fails:?}");
         assert!(fails[0].starts_with("b: 2"));

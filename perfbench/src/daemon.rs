@@ -3,6 +3,7 @@
 //! thread, then an idle window; freshness, CPU per MB and per idle poll,
 //! peak RSS and checkpoint size, with the daemon's own `/metrics` view.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -11,22 +12,28 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::check;
+use crate::launcher::{Finished, Launcher};
 use crate::sched::OpenLoop;
 use crate::stats::{median, percentile};
-use crate::launcher::{Finished, Launcher};
 use crate::sysinfo::{cpu_ms, main_thread_cpu_ms, signal, SIGKILL, SIGTERM};
 use crate::workload::{group_by_file, Corpus, Line, Spec};
 
 /// GET `path` from the daemon; the body on a 200.
 pub fn http_get(addr: &str, path: &str) -> Result<String, String> {
     let mut s = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    s.set_read_timeout(Some(Duration::from_secs(20))).map_err(|e| e.to_string())?;
-    write!(s, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
+    s.set_read_timeout(Some(Duration::from_secs(20)))
         .map_err(|e| e.to_string())?;
+    write!(
+        s,
+        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+    )
+    .map_err(|e| e.to_string())?;
     let mut buf = Vec::new();
     s.read_to_end(&mut buf).map_err(|e| e.to_string())?;
     let text = String::from_utf8_lossy(&buf);
-    let (head, body) = text.split_once("\r\n\r\n").ok_or("malformed HTTP response")?;
+    let (head, body) = text
+        .split_once("\r\n\r\n")
+        .ok_or("malformed HTTP response")?;
     if !head.starts_with("HTTP/1.1 200") && !head.starts_with("HTTP/1.0 200") {
         return Err(format!("{path}: {}", head.lines().next().unwrap_or("")));
     }
@@ -68,7 +75,10 @@ impl Scrape {
     fn diag(&self) -> String {
         let mut parts = vec![
             format!("\"{POLLS}\": {}", self.polls()),
-            format!("\"{READ_BYTES}\": {}", self.m.get(READ_BYTES).copied().unwrap_or(0.0)),
+            format!(
+                "\"{READ_BYTES}\": {}",
+                self.m.get(READ_BYTES).copied().unwrap_or(0.0)
+            ),
         ];
         let hist: Vec<String> = self
             .m
@@ -124,7 +134,12 @@ impl WideWatch {
 
     /// Poll every 2 ms until every app in `apps` has a line or the
     /// deadline passes (extra condition: `also_done`).
-    fn wait_for(&mut self, apps: &[&String], deadline: Instant, mut also_done: impl FnMut() -> bool) -> bool {
+    fn wait_for(
+        &mut self,
+        apps: &[&String],
+        deadline: Instant,
+        mut also_done: impl FnMut() -> bool,
+    ) -> bool {
         loop {
             self.poll();
             if also_done() && apps.iter().all(|a| self.seen.contains_key(*a)) {
@@ -140,7 +155,13 @@ impl WideWatch {
 
 /// Append `lines` under `dir` on the open-loop schedule `sched`, one
 /// write per touched file per wake-up. Files are closed after their last line.
-fn write_live(dir: &Path, files: &[String], lines: &[Line], sched: Vec<f64>, start: Instant) -> std::io::Result<OpenLoop> {
+fn write_live(
+    dir: &Path,
+    files: &[String],
+    lines: &[Line],
+    sched: Vec<f64>,
+    start: Instant,
+) -> std::io::Result<OpenLoop> {
     let mut last_use: BTreeMap<u32, usize> = BTreeMap::new();
     for (i, l) in lines.iter().enumerate() {
         last_use.insert(l.file, i);
@@ -151,24 +172,31 @@ fn write_live(dir: &Path, files: &[String], lines: &[Line], sched: Vec<f64>, sta
         let r = sched.due(start.elapsed().as_secs_f64());
         if !r.is_empty() {
             for (f, text) in group_by_file(&lines[r.clone()]) {
-                if !open.contains_key(&f) {
-                    let path = dir.join(&files[f as usize]);
-                    if let Some(p) = path.parent() {
-                        fs::create_dir_all(p)?;
+                let h = match open.entry(f) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        let path = dir.join(&files[f as usize]);
+                        if let Some(p) = path.parent() {
+                            fs::create_dir_all(p)?;
+                        }
+                        e.insert(
+                            fs::OpenOptions::new()
+                                .create(true)
+                                .append(true)
+                                .open(path)?,
+                        )
                     }
-                    let h = fs::OpenOptions::new().create(true).append(true).open(path)?;
-                    open.insert(f, h);
-                }
-                if let Some(h) = open.get_mut(&f) {
-                    h.write_all(text.as_bytes())?;
-                }
+                };
+                h.write_all(text.as_bytes())?;
                 if last_use[&f] < r.end {
                     open.remove(&f);
                 }
             }
             sched.written(r, start.elapsed().as_secs_f64());
         }
-        let Some(next) = sched.next_due_s() else { break };
+        let Some(next) = sched.next_due_s() else {
+            break;
+        };
         let wait = (next - start.elapsed().as_secs_f64()).max(0.002);
         std::thread::sleep(Duration::from_secs_f64(wait));
     }
@@ -236,11 +264,24 @@ impl Drop for Running {
 
 /// Start the daemon on `logs`, its outputs under `work` tagged `tag`,
 /// and wait for its listening address.
-fn start(launcher: &mut Launcher, bin: &Path, spec: &Spec, logs: &Path, work: &Path, tag: &str) -> Result<Running, String> {
+fn start(
+    launcher: &mut Launcher,
+    bin: &Path,
+    spec: &Spec,
+    logs: &Path,
+    work: &Path,
+    tag: &str,
+) -> Result<Running, String> {
     let out = |name: &str| work.join(format!("daemon-{tag}-{name}"));
     let port_file = out("port");
     let path = |p: &Path| p.display().to_string();
-    let mut args = vec![path(logs), "--listen".into(), "127.0.0.1:0".into(), "--port-file".into(), path(&port_file)];
+    let mut args = vec![
+        path(logs),
+        "--listen".into(),
+        "127.0.0.1:0".into(),
+        "--port-file".into(),
+        path(&port_file),
+    ];
     args.extend(flags(spec));
     let mut r = Running {
         pid: 0,
@@ -251,14 +292,23 @@ fn start(launcher: &mut Launcher, bin: &Path, spec: &Spec, logs: &Path, work: &P
         final_report: out("final.json"),
         stopped: false,
     };
-    for (flag, p) in [("--wide-events-out", &r.wide), ("--final-report", &r.final_report), ("--checkpoint-dir", &r.ckpt)] {
+    for (flag, p) in [
+        ("--wide-events-out", &r.wide),
+        ("--final-report", &r.final_report),
+        ("--checkpoint-dir", &r.ckpt),
+    ] {
         args.push(flag.into());
         args.push(path(p));
     }
     args.extend(["--no-resume".into(), "--quiet".into()]);
     let spawned = Instant::now();
     let pid = launcher
-        .spawn(&bin.join("sdcheckerd"), &args, None, Some(&out("stderr.log")))
+        .spawn(
+            &bin.join("sdcheckerd"),
+            &args,
+            None,
+            Some(&out("stderr.log")),
+        )
         .map_err(|e| format!("sdcheckerd: {e}"))?;
     r.pid = pid;
     r.spawned = spawned;
@@ -317,8 +367,16 @@ pub fn run(
     let expected = corpus.expected_retire(spec.settle_ms);
     let due = corpus.due_times(spec.settle_ms);
     let prefix_max = corpus.prefix().last().map_or(0, |l| l.ts);
-    let catchup_apps: Vec<&String> = due.iter().filter(|(_, &d)| d <= prefix_max).map(|(a, _)| a).collect();
-    let live_apps: Vec<&String> = due.iter().filter(|(_, &d)| d > prefix_max).map(|(a, _)| a).collect();
+    let catchup_apps: Vec<&String> = due
+        .iter()
+        .filter(|(_, &d)| d <= prefix_max)
+        .map(|(a, _)| a)
+        .collect();
+    let live_apps: Vec<&String> = due
+        .iter()
+        .filter(|(_, &d)| d > prefix_max)
+        .map(|(a, _)| a)
+        .collect();
     let prefix_mb = Corpus::bytes_of(corpus.prefix()) as f64 / 1e6;
     let mut out = Daemon::default();
 
@@ -330,8 +388,13 @@ pub fn run(
     for k in 0..spec.catchups {
         let r = start(launcher, bin, spec, logs, work, &k.to_string())?;
         let mut watch = WideWatch::new(r.wide.clone());
-        if !watch.wait_for(&catchup_apps, Instant::now() + Duration::from_secs(120), || true) {
-            out.failures.push("catch-up did not finish within 120 s".into());
+        if !watch.wait_for(
+            &catchup_apps,
+            Instant::now() + Duration::from_secs(120),
+            || true,
+        ) {
+            out.failures
+                .push("catch-up did not finish within 120 s".into());
         }
         catchup_s.push(r.spawned.elapsed().as_secs_f64());
         if k + 1 < spec.catchups {
@@ -397,7 +460,8 @@ pub fn run(
     let live_s = t_live.elapsed().as_secs_f64();
     let c1 = cpu_ms(pid).unwrap_or(0.0);
     if !caught_live {
-        out.failures.push("live apps did not all retire within the deadline".into());
+        out.failures
+            .push("live apps did not all retire within the deadline".into());
     }
     let live_mb = Corpus::bytes_of(live) as f64 / 1e6;
     out.live_cpu_ms_per_mb = (c1 - s0.cpu_ms) / live_mb;
@@ -419,15 +483,18 @@ pub fn run(
     std::thread::sleep(Duration::from_secs_f64(spec.idle_s));
     let s3 = aligned(s2.polls());
     let idle_polls = s3.polls() - s2.polls();
-    out.idle_cpu_ms_per_poll = (s3.poll_thread_cpu_ms - s2.poll_thread_cpu_ms) / idle_polls.max(1.0);
+    out.idle_cpu_ms_per_poll =
+        (s3.poll_thread_cpu_ms - s2.poll_thread_cpu_ms) / idle_polls.max(1.0);
 
     let (wide, ckpt, final_report) = (r.wide.clone(), r.ckpt.clone(), r.final_report.clone());
     let exit = stop(launcher, r)?;
     out.peak_rss_mb = exit.peak_rss_mb;
     if !exit.success {
-        out.failures.push("sdcheckerd did not exit cleanly on SIGTERM".into());
+        out.failures
+            .push("sdcheckerd did not exit cleanly on SIGTERM".into());
     }
-    out.checkpoint_kb = fs::metadata(ckpt.join("checkpoint-v1")).map_or(0.0, |m| m.len() as f64 / 1e3);
+    out.checkpoint_kb =
+        fs::metadata(ckpt.join("checkpoint-v1")).map_or(0.0, |m| m.len() as f64 / 1e3);
 
     // Checks.
     let daemon_wide = fs::read_to_string(&wide).unwrap_or_default();
@@ -443,7 +510,12 @@ pub fn run(
     out.scrapes_failed = scrapes_failed + u64::from(!tally_fails.is_empty());
     out.failures.extend(tally_fails);
 
-    let fmt_list = |v: &[f64]| v.iter().map(|x| format!("{x:.4}")).collect::<Vec<_>>().join(", ");
+    let fmt_list = |v: &[f64]| {
+        v.iter()
+            .map(|x| format!("{x:.4}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     out.diag = vec![
         format!("\"daemon_flags\": \"{}\"", flags(spec).join(" ")),
         format!("\"cut_ms\": {}", corpus.cut_ms),

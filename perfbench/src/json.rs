@@ -42,7 +42,11 @@ impl Json {
 }
 
 pub fn parse(s: &str) -> Result<Json, String> {
-    let mut p = Parser { b: s.as_bytes(), s, i: 0 };
+    let mut p = Parser {
+        b: s.as_bytes(),
+        s,
+        i: 0,
+    };
     let v = p.value()?;
     p.ws();
     if p.i != p.b.len() {
@@ -120,14 +124,23 @@ impl Parser<'_> {
             }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(_) => {
-                for (word, v) in [("true", Json::Bool(true)), ("false", Json::Bool(false)), ("null", Json::Null)] {
+                for (word, v) in [
+                    ("true", Json::Bool(true)),
+                    ("false", Json::Bool(false)),
+                    ("null", Json::Null),
+                ] {
                     if self.b[self.i..].starts_with(word.as_bytes()) {
                         self.i += word.len();
                         return Ok(v);
                     }
                 }
                 let start = self.i;
-                while self.i < self.b.len() && matches!(self.b[self.i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
+                while self.i < self.b.len()
+                    && matches!(
+                        self.b[self.i],
+                        b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'
+                    )
+                {
                     self.i += 1;
                 }
                 match self.s[start..self.i].parse() {
@@ -164,12 +177,16 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self.s.get(self.i..self.i + 4).ok_or("truncated \\u escape")?;
+                            let hex = self
+                                .s
+                                .get(self.i..self.i + 4)
+                                .ok_or("truncated \\u escape")?;
                             let n = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(n).unwrap_or('\u{fffd}'));
                             self.i += 4;
                         }
-                        other => out.push(other as char),
+                        b'"' | b'\\' | b'/' => out.push(e as char),
+                        _ => return self.err("bad escape"),
                     }
                     run = self.i;
                 }
@@ -186,7 +203,8 @@ mod tests {
 
     #[test]
     fn parses_nested_documents() {
-        let j = parse(r#"{"a": [1, -2.5e1, "x\"yé"], "b": {"c": null, "d": true}, "e": "é"}"#).unwrap();
+        let j =
+            parse(r#"{"a": [1, -2.5e1, "x\"yé"], "b": {"c": null, "d": true}, "e": "é"}"#).unwrap();
         let a = j.get("a").and_then(Json::as_arr).unwrap();
         assert_eq!(a[0].as_f64(), Some(1.0));
         assert_eq!(a[1].as_f64(), Some(-25.0));
@@ -195,5 +213,6 @@ mod tests {
         assert_eq!(j.get("e").and_then(Json::as_str), Some("é"));
         assert!(parse("{\"a\": 1").is_err());
         assert!(parse("[1] x").is_err());
+        assert!(parse("\"\\é\"").is_err());
     }
 }

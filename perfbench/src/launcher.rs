@@ -45,8 +45,16 @@ impl Launcher {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()?;
-        let to = child.stdin.take().ok_or_else(|| io::Error::other("no helper stdin"))?;
-        let from = BufReader::new(child.stdout.take().ok_or_else(|| io::Error::other("no helper stdout"))?);
+        let to = child
+            .stdin
+            .take()
+            .ok_or_else(|| io::Error::other("no helper stdin"))?;
+        let from = BufReader::new(
+            child
+                .stdout
+                .take()
+                .ok_or_else(|| io::Error::other("no helper stdout"))?,
+        );
         Ok(Launcher {
             helper: Reaper::new(child),
             to,
@@ -63,7 +71,13 @@ impl Launcher {
     }
 
     /// Start `prog` with `args`; returns its pid.
-    pub fn spawn(&mut self, prog: &Path, args: &[String], stdout: Option<&Path>, stderr: Option<&Path>) -> io::Result<u32> {
+    pub fn spawn(
+        &mut self,
+        prog: &Path,
+        args: &[String],
+        stdout: Option<&Path>,
+        stderr: Option<&Path>,
+    ) -> io::Result<u32> {
         let path = |p: Option<&Path>| p.map(|p| p.display().to_string()).unwrap_or_default();
         let mut req = vec![path(stdout), path(stderr), prog.display().to_string()];
         req.extend(args.iter().cloned());
@@ -91,7 +105,12 @@ impl Launcher {
     }
 
     /// Start, wait, and return the result.
-    pub fn run(&mut self, prog: &Path, args: &[String], stdout: Option<&Path>) -> io::Result<Finished> {
+    pub fn run(
+        &mut self,
+        prog: &Path,
+        args: &[String],
+        stdout: Option<&Path>,
+    ) -> io::Result<Finished> {
         self.spawn(prog, args, stdout, None)?;
         self.wait()
     }
@@ -115,12 +134,23 @@ pub fn serve() -> ExitCode {
             continue;
         };
         let file = |p: &str| -> io::Result<Stdio> {
-            Ok(if p.is_empty() { Stdio::null() } else { Stdio::from(std::fs::File::create(p)?) })
+            Ok(if p.is_empty() {
+                Stdio::null()
+            } else {
+                Stdio::from(std::fs::File::create(p)?)
+            })
         };
         let t = Instant::now();
         let child = file(stdout)
             .and_then(|o| Ok((o, file(stderr)?)))
-            .and_then(|(o, e)| Command::new(prog).args(args).stdin(Stdio::null()).stdout(o).stderr(e).spawn());
+            .and_then(|(o, e)| {
+                Command::new(prog)
+                    .args(args)
+                    .stdin(Stdio::null())
+                    .stdout(o)
+                    .stderr(e)
+                    .spawn()
+            });
         let child = match child {
             Ok(c) => c,
             Err(e) => {

@@ -53,10 +53,14 @@ fn parse_args() -> Result<Args, String> {
     let (mut bin_dir, mut spec, mut seed, mut seconds, mut trace) = (None, None, None, 12.0, false);
     let mut i = 0;
     while i < args.len() {
-        let v = args.get(i + 1).ok_or_else(|| format!("{} needs a value", args[i]))?;
+        let v = args
+            .get(i + 1)
+            .ok_or_else(|| format!("{} needs a value", args[i]))?;
         match args[i].as_str() {
             "--bin-dir" => bin_dir = Some(PathBuf::from(v)),
-            "--workload" => spec = Some(workload::spec(v).ok_or_else(|| format!("unknown workload {v}"))?),
+            "--workload" => {
+                spec = Some(workload::spec(v).ok_or_else(|| format!("unknown workload {v}"))?)
+            }
             "--seed" => seed = Some(v.parse().map_err(|e| format!("--seed: {e}"))?),
             "--seconds" => {
                 seconds = v.parse().map_err(|e| format!("--seconds: {e}"))?;
@@ -169,7 +173,12 @@ fn untraced(a: &Args, work: &Path, launcher: &mut Launcher) -> Result<Outcome, S
         ("daemon_peak_rss_mb", d.peak_rss_mb, "MB"),
         ("checkpoint_kb", d.checkpoint_kb, "KB"),
     ];
-    let fmt_list = |v: &[f64]| v.iter().map(|x| format!("{x:.4}")).collect::<Vec<_>>().join(", ");
+    let fmt_list = |v: &[f64]| {
+        v.iter()
+            .map(|x| format!("{x:.4}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     let mut diag = vec![
         format!(
             "\"corpus\": {{\"apps\": {}, \"files\": {files}, \"records\": {}, \"text_mb\": {:.3}, \

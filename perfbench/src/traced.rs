@@ -16,9 +16,9 @@ use logmodel::{LogStore, Parallelism, TsMs};
 use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore, SaveInputs};
 use sdchecker::extract::extract_all_cov_with;
 use sdchecker::{
-    analyze_store_with, build_graphs, critical_path, decompose, default_rules, extract_app_names_with,
-    find_unused_containers, full_report, report_json, wide_events_for_analysis, AlertEngine, DirTailer,
-    IncrementalAnalyzer, IncrementalConfig,
+    analyze_store_with, build_graphs, critical_path, decompose, default_rules,
+    extract_app_names_with, find_unused_containers, full_report, report_json,
+    wide_events_for_analysis, AlertEngine, DirTailer, IncrementalAnalyzer, IncrementalConfig,
 };
 
 use crate::check;
@@ -83,7 +83,14 @@ pub struct Traced {
     pub diag: Vec<String>,
 }
 
-pub fn run(launcher: &mut Launcher, bin: &Path, work: &Path, spec: &Spec, seed: u64, trace_out: &Path) -> Result<Traced, String> {
+pub fn run(
+    launcher: &mut Launcher,
+    bin: &Path,
+    work: &Path,
+    spec: &Spec,
+    seed: u64,
+    trace_out: &Path,
+) -> Result<Traced, String> {
     let mut tr = Tracer::default();
     let mut out = Traced::default();
     let mut metrics = Vec::new();
@@ -105,25 +112,42 @@ pub fn run(launcher: &mut Launcher, bin: &Path, work: &Path, spec: &Spec, seed: 
     // Batch layers, in pipeline order.
     let one = Parallelism::ONE;
     let two = Parallelism::clamped(2);
-    let (store, read_ms) = tr.time("logmodel.read_dir", || LogStore::read_dir_with(&corpus_dir, one));
+    let (store, read_ms) = tr.time("logmodel.read_dir", || {
+        LogStore::read_dir_with(&corpus_dir, one)
+    });
     let store = store.map_err(err)?;
-    let ((events, _cov), extract_ms) = tr.time("extract.extract", || extract_all_cov_with(&store, one));
+    let ((events, _cov), extract_ms) =
+        tr.time("extract.extract", || extract_all_cov_with(&store, one));
     let (_names, names_ms) = tr.time("extract.app_names", || extract_app_names_with(&store, one));
     let (graphs, graph_ms) = tr.time("graph.build", || build_graphs(&events));
-    let (_delays, decompose_ms) = tr.time("decompose.decompose", || graphs.values().map(decompose).collect::<Vec<_>>());
-    let (_paths, critical_ms) = tr.time("critical.critical_path", || graphs.values().map(critical_path).collect::<Vec<_>>());
-    let (_unused, unused_ms) = tr.time("bugs.unused", || graphs.values().flat_map(find_unused_containers).collect::<Vec<_>>());
+    let (_delays, decompose_ms) = tr.time("decompose.decompose", || {
+        graphs.values().map(decompose).collect::<Vec<_>>()
+    });
+    let (_paths, critical_ms) = tr.time("critical.critical_path", || {
+        graphs.values().map(critical_path).collect::<Vec<_>>()
+    });
+    let (_unused, unused_ms) = tr.time("bugs.unused", || {
+        graphs
+            .values()
+            .flat_map(find_unused_containers)
+            .collect::<Vec<_>>()
+    });
     let (analysis, store_ms) = tr.time("analyze.store", || analyze_store_with(&store, one));
-    let ((_report, rjson), render_ms) = tr.time("report.render", || (full_report(&analysis), report_json(&analysis)));
+    let ((_report, rjson), render_ms) = tr.time("report.render", || {
+        (full_report(&analysis), report_json(&analysis))
+    });
     let (wide, wide_ms) = tr.time("wide.batch", || wide_events_for_analysis(&analysis));
     // The spans on the path the `sdchecker` binary takes.
     let traced_batch_s = (read_ms + store_ms + render_ms + wide_ms) / 1e3;
     let records = store.total_records();
     let n_events = events.len();
     drop((events, graphs, _delays, _paths, _unused, _names));
-    let (store2, read2_ms) = tr.time("logmodel.read_dir_t2", || LogStore::read_dir_with(&corpus_dir, two));
+    let (store2, read2_ms) = tr.time("logmodel.read_dir_t2", || {
+        LogStore::read_dir_with(&corpus_dir, two)
+    });
     drop(store2);
-    let (events2, extract2_ms) = tr.time("extract.extract_t2", || extract_all_cov_with(&store, two));
+    let (events2, extract2_ms) =
+        tr.time("extract.extract_t2", || extract_all_cov_with(&store, two));
     drop(events2);
     let (analysis2, store2_ms) = tr.time("analyze.store_t2", || analyze_store_with(&store, two));
     let wide2 = wide_events_for_analysis(&analysis2);
@@ -151,7 +175,8 @@ pub fn run(launcher: &mut Launcher, bin: &Path, work: &Path, spec: &Spec, seed: 
     out.failed += u64::from(!batch_fails.is_empty()) + u64::from(wide2 != wide);
     out.failures.extend(batch_fails);
     if wide2 != wide {
-        out.failures.push("two-thread analysis differs from one-thread".into());
+        out.failures
+            .push("two-thread analysis differs from one-thread".into());
     }
 
     // The untraced end-to-end time of the same batch work, for the
@@ -182,8 +207,15 @@ pub fn run(launcher: &mut Launcher, bin: &Path, work: &Path, spec: &Spec, seed: 
     let mut engine = AlertEngine::new(default_rules(spec.slo_ms), ALERT_EVAL_MS);
     let mut daemon_wide = String::new();
     let mut exemplar_gen = analyzer.exemplars().generation();
-    let (mut poll_ms, mut lag_ms, mut drain_ms, mut report_ms, mut alert_ms, mut exemplar_ms, mut save_ms) =
-        (vec![], vec![], vec![], vec![], vec![], vec![], vec![]);
+    let (
+        mut poll_ms,
+        mut lag_ms,
+        mut drain_ms,
+        mut report_ms,
+        mut alert_ms,
+        mut exemplar_ms,
+        mut save_ms,
+    ) = (vec![], vec![], vec![], vec![], vec![], vec![], vec![]);
     let (mut ingest_ns, mut ingested) = (0.0, 0u64);
     let (mut in_flight_peak, mut buffered_peak) = (0usize, 0usize);
     let live = corpus.live();
@@ -196,7 +228,9 @@ pub fn run(launcher: &mut Launcher, bin: &Path, work: &Path, spec: &Spec, seed: 
             append(&logs, &corpus.files, &live[appended..end]).map_err(err)?;
             appended = end;
         }
-        let (batch, ms) = tr.time(if idle { "tail.idle_poll" } else { "tail.poll" }, || tailer.poll());
+        let (batch, ms) = tr.time(if idle { "tail.idle_poll" } else { "tail.poll" }, || {
+            tailer.poll()
+        });
         let batch = batch.map_err(err)?;
         if step > 0 {
             poll_ms.push(ms);
@@ -243,10 +277,21 @@ pub fn run(launcher: &mut Launcher, bin: &Path, work: &Path, spec: &Spec, seed: 
         let (lag, ms) = tr.time("tail.lag", || tailer.lag());
         lag_ms.push(ms);
         let stats = tailer.stats();
-        let (_, ms) = tr.time("incremental.live_report", || analyzer.live_report_json(Some((&lag, &stats))));
+        let (_, ms) = tr.time("incremental.live_report", || {
+            analyzer.live_report_json(Some((&lag, &stats)))
+        });
         report_ms.push(ms);
         if step % CHECKPOINT_EVERY == 0 {
-            let (r, ms) = tr.time("checkpoint.save", || save(&store, &tailer, &analyzer, &engine, &fingerprint, &daemon_wide));
+            let (r, ms) = tr.time("checkpoint.save", || {
+                save(
+                    &store,
+                    &tailer,
+                    &analyzer,
+                    &engine,
+                    &fingerprint,
+                    &daemon_wide,
+                )
+            });
             save_bytes = r?;
             save_ms.push(ms);
         }
@@ -266,7 +311,16 @@ pub fn run(launcher: &mut Launcher, bin: &Path, work: &Path, spec: &Spec, seed: 
     engine.set_live_lag(0);
     engine.advance(end);
     engine.close_out(end);
-    let (r, ms) = tr.time("checkpoint.save", || save(&store, &tailer, &analyzer, &engine, &fingerprint, &daemon_wide));
+    let (r, ms) = tr.time("checkpoint.save", || {
+        save(
+            &store,
+            &tailer,
+            &analyzer,
+            &engine,
+            &fingerprint,
+            &daemon_wide,
+        )
+    });
     save_bytes = r.unwrap_or(save_bytes);
     save_ms.push(ms);
 
@@ -276,7 +330,11 @@ pub fn run(launcher: &mut Launcher, bin: &Path, work: &Path, spec: &Spec, seed: 
     m("tail.poll_ms.p99", percentile(&live_polls, 99.0), "ms");
     m("tail.idle_poll_ms", median(&idle), "ms");
     m("tail.lag_ms", median(&lag_ms), "ms");
-    m("incremental.ingest_ns_per_record", ingest_ns / ingested.max(1) as f64, "ns");
+    m(
+        "incremental.ingest_ns_per_record",
+        ingest_ns / ingested.max(1) as f64,
+        "ns",
+    );
     m("incremental.drain_ms", mean(&drain_ms), "ms");
     m("incremental.live_report_ms", mean(&report_ms), "ms");
     m("alerts.eval_ms", mean(&alert_ms), "ms");
@@ -286,8 +344,16 @@ pub fn run(launcher: &mut Launcher, bin: &Path, work: &Path, spec: &Spec, seed: 
     m("tail.files", stats.files as f64, "count");
     m("tail.read_mb", stats.read_bytes as f64 / 1e6, "MB");
     m("incremental.in_flight_peak", in_flight_peak as f64, "count");
-    m("incremental.events_buffered_peak", buffered_peak as f64, "count");
-    m("alerts.transitions", engine.transitions_total() as f64, "count");
+    m(
+        "incremental.events_buffered_peak",
+        buffered_peak as f64,
+        "count",
+    );
+    m(
+        "alerts.transitions",
+        engine.transitions_total() as f64,
+        "count",
+    );
     m("checkpoint.bytes", save_bytes as f64, "B");
 
     // The daemon checks, on the in-process poll loop's wide events.

@@ -192,7 +192,11 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    pub fn new(spec: &Spec, store: &LogStore, summaries: Vec<JobSummary>) -> Result<Corpus, String> {
+    pub fn new(
+        spec: &Spec,
+        store: &LogStore,
+        summaries: Vec<JobSummary>,
+    ) -> Result<Corpus, String> {
         let epoch = *store.epoch();
         let files: Vec<String> = store.sources().map(|s| s.rel_path()).collect();
         let index: BTreeMap<logmodel::LogSource, u32> = store
@@ -213,7 +217,10 @@ impl Corpus {
         let mut submits: Vec<u64> = summaries.iter().map(|s| s.submitted_at.0).collect();
         submits.sort_unstable();
         let live = spec.live_apps.min(submits.len());
-        let cut_ms = submits.get(submits.len() - live).copied().unwrap_or(u64::MAX);
+        let cut_ms = submits
+            .get(submits.len() - live)
+            .copied()
+            .unwrap_or(u64::MAX);
         let cut_line = lines.partition_point(|l| l.ts < cut_ms);
         let mut prefix_bytes = Vec::with_capacity(files.len());
         for src in store.sources() {
@@ -222,7 +229,12 @@ impl Corpus {
             if recs[k..].iter().any(|r| r.ts.0 < cut_ms) {
                 return Err(format!("{} is not in log-time order", src.rel_path()));
             }
-            prefix_bytes.push(recs[..k].iter().map(|r| format_line(&epoch, r).len() as u64 + 1).sum());
+            prefix_bytes.push(
+                recs[..k]
+                    .iter()
+                    .map(|r| format_line(&epoch, r).len() as u64 + 1)
+                    .sum(),
+            );
         }
         Ok(Corpus {
             files,
@@ -260,7 +272,10 @@ impl Corpus {
         for (rel, &len) in self.files.iter().zip(&self.prefix_bytes) {
             let path = dir.join(rel);
             if len > 0 {
-                fs::OpenOptions::new().write(true).open(&path)?.set_len(len)?;
+                fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)?
+                    .set_len(len)?;
             } else {
                 fs::remove_file(&path)?;
             }
@@ -293,7 +308,10 @@ impl Corpus {
             log_ms.push(acc);
         }
         let speedup = (acc as f64 / (seconds * 1e3)).max(f64::MIN_POSITIVE);
-        (log_ms.iter().map(|&t| t as f64 / speedup / 1e3).collect(), speedup)
+        (
+            log_ms.iter().map(|&t| t as f64 / speedup / 1e3).collect(),
+            speedup,
+        )
     }
 
     /// Due times (last terminal record + settle) of the apps whose due
@@ -414,7 +432,10 @@ mod tests {
         };
         let c = Corpus {
             files: Vec::new(),
-            lines: [0, 100, 150, 10_150, 10_200].into_iter().map(line).collect(),
+            lines: [0, 100, 150, 10_150, 10_200]
+                .into_iter()
+                .map(line)
+                .collect(),
             summaries: Vec::new(),
             text_bytes: 0,
             cut_line: 1,
